@@ -195,8 +195,3 @@ pub fn canonical_indices(query: &Query) -> Vec<IndexArray> {
         })
         .collect()
 }
-
-/// Embedding bytes of `cfg` (f32 tables).
-pub fn embedding_bytes(cfg: &DlrmConfig) -> u64 {
-    cfg.embedding_parameters() as u64 * 4
-}

@@ -5,14 +5,14 @@
 const TAIL_CAP: f64 = 99.0;
 
 /// Samples that must lie beyond a reported percentile.
-pub const TAIL_SUPPORT: usize = 10;
+const TAIL_SUPPORT: usize = 10;
 
 /// Nearest-rank percentile `p` (0..=100) of ascending `sorted` values.
 ///
 /// # Panics
 ///
 /// Panics if `sorted` is empty.
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+fn percentile(sorted: &[f64], p: f64) -> f64 {
     assert!(!sorted.is_empty(), "percentile of an empty sample");
     let n = sorted.len();
     sorted[rank(p, n).clamp(1, n) - 1]
@@ -29,7 +29,7 @@ fn rank(p: f64, n: usize) -> usize {
 /// at least [`TAIL_SUPPORT`] samples strictly beyond its rank, with its
 /// value: `(percentile, value)`. `None` when the sample is too small to
 /// support any percentile.
-pub fn tail(sorted: &[f64]) -> Option<(f64, f64)> {
+fn tail(sorted: &[f64]) -> Option<(f64, f64)> {
     let n = sorted.len();
     if n <= TAIL_SUPPORT {
         return None;

@@ -12,7 +12,7 @@ use tcast_serve::{BatchPolicy, ServeEngine, SnapshotStore};
 use tcast_tensor::{InteractionKind, SplitMix64};
 
 use crate::host;
-use crate::inputs::{derive, embedding_bytes, Catalog, TrainTrace};
+use crate::inputs::{derive, Catalog, TrainTrace};
 use crate::openloop::{
     poisson_schedule, run_rung, Arrival, Clock, RungConfig, RungOutcome, WallClock,
 };
@@ -226,7 +226,7 @@ fn describe_model(report: &mut Report, cfg: &DlrmConfig) {
         ),
     );
     let l3 = host::l3_bytes().max(1) as f64;
-    let bytes = embedding_bytes(cfg);
+    let bytes = cfg.embedding_parameters() as u64 * 4;
     report.head(
         "embedding_bytes",
         format!("{bytes} ({:.1}x L3)", bytes as f64 / l3),
@@ -309,7 +309,7 @@ fn report_setup(report: &mut Report, untraced: &[f64], traced: Option<f64>) {
 /// `(p50, tail percentile, tail)` in ms of a latency sample in ns, given
 /// in arrival order (see [`stats::block_tail`]).
 fn latency_ms(values_ns: &[f64]) -> (f64, f64, f64) {
-    let p50 = stats::percentile(&stats::sorted(values_ns.to_vec()), 50.0) / 1e6;
+    let p50 = stats::median(values_ns) / 1e6;
     let (p, tail) = stats::block_tail(values_ns).unwrap_or((50.0, p50 * 1e6));
     (p50, p, tail / 1e6)
 }
