@@ -4,16 +4,16 @@ use std::collections::BTreeMap;
 
 /// End-to-end metrics, reported by every untraced run: `(name, unit)`.
 /// `BENCHMARK.json` lists the same names.
-pub const END_TO_END: [(&str, &str); 4] = [
+pub const END_TO_END: [(&str, &str); 3] = [
     ("throughput_per_s", "1/s"),
     ("latency_p50_ms", "ms"),
-    ("latency_tail_ms", "ms"),
     ("setup_s", "s"),
 ];
 
 /// Per-layer metrics, reported by every traced run: `(name, unit)`. A
 /// layer a workload does not exercise reports 0.
 pub const PER_LAYER: [(&str, &str); 31] = [
+    ("latency_tail_ms", "ms"),
     ("datasets.next_batch_ms", "ms"),
     ("dlrm.push_ms_p50", "ms"),
     ("dlrm.push_ms_p99", "ms"),
@@ -42,7 +42,6 @@ pub const PER_LAYER: [(&str, &str); 31] = [
     ("proc.peak_rss_mb", "MiB"),
     ("trace.overhead_throughput_frac", "frac"),
     ("trace.overhead_latency_p50_frac", "frac"),
-    ("trace.overhead_latency_tail_frac", "frac"),
     ("trace.overhead_setup_frac", "frac"),
     ("trace.dropped_spans", "count"),
 ];

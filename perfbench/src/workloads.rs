@@ -1,6 +1,5 @@
 //! The four workloads and how each turns into a report.
 
-use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::path::Path;
@@ -314,19 +313,33 @@ fn latency_ms(values_ns: &[f64]) -> (f64, f64, f64) {
     (p50, p, tail / 1e6)
 }
 
-fn overhead(
-    report: &mut Report,
-    untraced: &BTreeMap<&'static str, f64>,
-    traced: &BTreeMap<&'static str, f64>,
-) {
-    for (metric, layer) in [
-        ("throughput_per_s", "trace.overhead_throughput_frac"),
-        ("latency_p50_ms", "trace.overhead_latency_p50_frac"),
-        ("latency_tail_ms", "trace.overhead_latency_tail_frac"),
-    ] {
-        if let (Some(a), Some(b)) = (untraced.get(metric), traced.get(metric)) {
-            report.layers.insert(layer, b / a - 1.0);
-        }
+/// The headline numbers of one measured window.
+struct WindowMetrics {
+    throughput: f64,
+    p50_ms: f64,
+    tail_ms: f64,
+}
+
+impl WindowMetrics {
+    /// Reports the untraced window's end-to-end metrics.
+    fn report_e2e(&self, report: &mut Report) {
+        report.e2e.insert("throughput_per_s", self.throughput);
+        report.e2e.insert("latency_p50_ms", self.p50_ms);
+    }
+
+    /// Reports the traced window's tail and the tracing overhead against
+    /// the `untraced` window.
+    fn report_traced(&self, untraced: &WindowMetrics, report: &mut Report) {
+        let l = &mut report.layers;
+        l.insert("latency_tail_ms", self.tail_ms);
+        l.insert(
+            "trace.overhead_throughput_frac",
+            self.throughput / untraced.throughput - 1.0,
+        );
+        l.insert(
+            "trace.overhead_latency_p50_frac",
+            self.p50_ms / untraced.p50_ms - 1.0,
+        );
     }
 }
 
@@ -495,7 +508,8 @@ fn train_only(
         None,
     );
     window_lines(report, "window", &a);
-    let untraced_e2e = train_e2e(report, &a);
+    let untraced = train_metrics(&a);
+    untraced.report_e2e(report);
     let mut windows = vec![a];
     if args.traced {
         let mut rec = Recorder::enabled(epoch, 1, 1 << 16);
@@ -507,8 +521,7 @@ fn train_only(
             None,
         );
         window_lines(report, "traced window", &b);
-        let traced_e2e = train_e2e(&mut Report::default(), &b);
-        overhead(report, &untraced_e2e, &traced_e2e);
+        train_metrics(&b).report_traced(&untraced, report);
         train_layers(report, &b);
         recs.push(rec);
         windows.push(b);
@@ -521,12 +534,13 @@ fn secs_ns(args: &Args) -> u64 {
     (args.seconds * 1e9) as u64
 }
 
-fn train_e2e(report: &mut Report, w: &Window) -> BTreeMap<&'static str, f64> {
-    let (p50, _, tail) = latency_ms(&w.iter_ns);
-    report.e2e.insert("throughput_per_s", w.samples_per_s());
-    report.e2e.insert("latency_p50_ms", p50);
-    report.e2e.insert("latency_tail_ms", tail);
-    report.e2e.clone()
+fn train_metrics(w: &Window) -> WindowMetrics {
+    let (p50_ms, _, tail_ms) = latency_ms(&w.iter_ns);
+    WindowMetrics {
+        throughput: w.samples_per_s(),
+        p50_ms,
+        tail_ms,
+    }
 }
 
 fn train_gates(report: &mut Report, windows: &[Window], mismatched: usize, tail_nonfinite: usize) {
@@ -680,7 +694,8 @@ fn serve_open(
             .collect()
     };
     let a = run_ladder(&mut Recorder::disabled(epoch), &mut scorer);
-    let untraced_e2e = serve_e2e(report, &a, &rung_cfg);
+    let untraced = serve_metrics(report, &a, &rung_cfg);
+    untraced.report_e2e(report);
     let mut failed = a[NOMINAL_RUNG].failed;
     let mut attempted = a[NOMINAL_RUNG].attempted();
     let mut checked = std::mem::take(&mut scorer.sampler);
@@ -695,8 +710,7 @@ fn serve_open(
         for (o, label) in b.iter().zip(ladder_labels()) {
             rung_line(report, &format!("traced {label}"), o, &rung_cfg);
         }
-        let traced_e2e = serve_e2e(&mut Report::default(), &b, &rung_cfg);
-        overhead(report, &untraced_e2e, &traced_e2e);
+        serve_metrics(&mut Report::default(), &b, &rung_cfg).report_traced(&untraced, report);
         serve_layers(report, &b[NOMINAL_RUNG], scorer.engine.cache_hit_rate());
         report.layers.insert("proc.cpu_busy_frac", busy);
         failed += b[NOMINAL_RUNG].failed;
@@ -721,32 +735,30 @@ fn ladder_labels() -> impl Iterator<Item = &'static str> {
     })
 }
 
-fn serve_e2e(
-    report: &mut Report,
-    rungs: &[RungOutcome],
-    cfg: &RungConfig,
-) -> BTreeMap<&'static str, f64> {
+/// The ladder's headline numbers: the highest passing rung's achieved
+/// rate and the nominal rung's latency. Prints the ladder summary.
+fn serve_metrics(report: &mut Report, rungs: &[RungOutcome], cfg: &RungConfig) -> WindowMetrics {
     let nominal = &rungs[NOMINAL_RUNG];
-    let (p50, p, tail) = latency_ms(&nominal.latency_ns);
-    // The highest passing rung's achieved rate; the nominal rung's when
-    // none passes (the detail line says whether it passed).
+    let (p50_ms, p, tail_ms) = latency_ms(&nominal.latency_ns);
+    // The nominal rung's rate when none passes (the line says so).
     let best = rungs
         .iter()
         .rev()
         .find(|o| o.passes(cfg))
         .unwrap_or(&rungs[0]);
-    report.e2e.insert("throughput_per_s", best.achieved_qps());
-    report.e2e.insert("latency_p50_ms", p50);
-    report.e2e.insert("latency_tail_ms", tail);
     report.line(format!(
-        "serve_max_qps: rung {:.0} q/s passes: {}, achieved {:.1} q/s; nominal p50 {p50:.3} ms, \
-         p{p} {tail:.3} ms over {} queries",
+        "serve_max_qps: rung {:.0} q/s passes: {}, achieved {:.1} q/s; nominal p50 {p50_ms:.3} ms, \
+         p{p} {tail_ms:.3} ms over {} queries",
         best.rate_qps,
         best.passes(cfg),
         best.achieved_qps(),
         nominal.attempted()
     ));
-    report.e2e.clone()
+    WindowMetrics {
+        throughput: best.achieved_qps(),
+        p50_ms,
+        tail_ms,
+    }
 }
 
 fn serve_gates(
@@ -869,7 +881,8 @@ fn train_serve(
     let (a, _, oa, scorer_a, _) = phase(&mut p, engine, false);
     window_lines(report, "trainer window", &a);
     rung_line(report, "server rung (nominal)", &oa, &rung_cfg);
-    let untraced_e2e = train_serve_e2e(report, &a, &oa);
+    let untraced = train_serve_metrics(&a, &oa);
+    untraced.report_e2e(report);
     let mut windows = vec![a];
     let mut failed = oa.failed;
     let mut attempted = oa.attempted();
@@ -886,8 +899,7 @@ fn train_serve(
         let (b, rec, ob, scorer_b, srec) = phase(&mut p, engine, true);
         window_lines(report, "traced trainer window", &b);
         rung_line(report, "traced server rung (nominal)", &ob, &rung_cfg);
-        let traced_e2e = train_serve_e2e(&mut Report::default(), &b, &ob);
-        overhead(report, &untraced_e2e, &traced_e2e);
+        train_serve_metrics(&b, &ob).report_traced(&untraced, report);
         train_layers(report, &b);
         serve_layers(report, &ob, scorer_b.engine.cache_hit_rate());
         report
@@ -912,14 +924,11 @@ fn train_serve(
     serve_gates(report, sampled, mismatched_scores, failed, attempted);
 }
 
-fn train_serve_e2e(
-    report: &mut Report,
-    w: &Window,
-    o: &RungOutcome,
-) -> BTreeMap<&'static str, f64> {
-    let (p50, _, tail) = latency_ms(&o.latency_ns);
-    report.e2e.insert("throughput_per_s", w.samples_per_s());
-    report.e2e.insert("latency_p50_ms", p50);
-    report.e2e.insert("latency_tail_ms", tail);
-    report.e2e.clone()
+fn train_serve_metrics(w: &Window, o: &RungOutcome) -> WindowMetrics {
+    let (p50_ms, _, tail_ms) = latency_ms(&o.latency_ns);
+    WindowMetrics {
+        throughput: w.samples_per_s(),
+        p50_ms,
+        tail_ms,
+    }
 }
