@@ -888,7 +888,7 @@ fn train_serve(
     let mut attempted = oa.attempted();
     let mut sampled = scorer_a.sampler.kept.len();
     let mut mismatched_scores = scorer_a.sampler.mismatches(None);
-    let mut engine = scorer_a.engine;
+    let engine = scorer_a.engine;
     report.line(format!(
         "model age p50 {:.3} ms",
         stats::median(&scorer_a.model_age_ns) / 1e6
@@ -913,12 +913,10 @@ fn train_serve(
         attempted += ob.attempted();
         sampled += scorer_b.sampler.kept.len();
         mismatched_scores += scorer_b.sampler.mismatches(None);
-        engine = scorer_b.engine;
         recs.push(rec);
         recs.push(srec);
         windows.push(b);
     }
-    drop(engine);
     let tail_nonfinite = train::drain(&mut p);
     train_gates(report, &windows, mismatched, tail_nonfinite);
     serve_gates(report, sampled, mismatched_scores, failed, attempted);
