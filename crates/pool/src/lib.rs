@@ -175,6 +175,11 @@ impl Pool {
 impl Drop for Pool {
     fn drop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
+        // Same handshake as `Scope::spawn`: a worker that read `shutdown`
+        // as false under the queue lock is either still holding it or
+        // already parked in `wait`, so taking the lock here orders the
+        // notify after its check and the wake-up cannot be lost.
+        drop(self.shared.queue.lock().expect("pool queue poisoned"));
         self.shared.activity.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
@@ -520,5 +525,25 @@ mod tests {
         let pool = Pool::new(2);
         pool.scope(|s| s.spawn(|| {}));
         drop(pool); // must not hang
+    }
+
+    #[test]
+    fn create_scope_drop_never_loses_the_shutdown_wake_up() {
+        // Regression guard for a lost wake-up in `Drop`: a worker that
+        // checked `shutdown` just before the notify parked forever and
+        // `join` hung. The loop runs on its own thread under a watchdog,
+        // so a regression fails the test instead of hanging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                let pool = Pool::new(3);
+                pool.scope(|s| s.spawn(|| {}));
+                drop(pool);
+            }
+            done.send(()).expect("watchdog receiver alive");
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("Pool::new/scope/drop hung: lost shutdown wake-up");
     }
 }

@@ -34,6 +34,8 @@
 //! retained version's exact bytes under a new version
 //! ([`ConcurrentConfig::rollback`]) — engines never pause for either;
 //! they pick the change up at their next refresh.
+//!
+//! [`serve_online`]: crate::serve_online
 
 use std::fs::File;
 use std::path::PathBuf;
@@ -41,7 +43,9 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::engine::{ServeEngine, DEFAULT_CACHE_CAPACITY};
-use crate::request::{Query, QueryModel};
+use crate::lane::{Arrivals, Lane, Measured};
+use crate::queue::BatchPolicy;
+use crate::request::{ArrivalProcess, Query, QueryModel};
 use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_datasets::BatchSource;
 use tcast_dlrm::checkpoint::{read_train_checkpoint, CheckpointError};
@@ -387,9 +391,10 @@ struct EngineOutcome {
     recorded: Vec<ServedBatchRecord>,
 }
 
-/// One engine's serving loop: engine-paced (no arrival simulation —
-/// wall-clock throughput is the point), one snapshot resolution per
-/// fused batch.
+/// One engine's serving loop: engine-paced, one snapshot resolution per
+/// fused batch. The lane is closed-loop with `batch` clients, no think
+/// time and `Fixed { batch }`, so exactly one full batch is in flight:
+/// every query's latency is its batch's measured service time.
 fn run_engine(
     index: usize,
     workload: &mut QueryModel,
@@ -402,63 +407,51 @@ fn run_engine(
         DEFAULT_CACHE_CAPACITY,
         config.execution.clone(),
     );
-    let mut report = ServeReport {
-        sla_ns: config.sla_ns,
-        ..Default::default()
-    };
+    let mut run = Measured::new(Lane::new(
+        Arrivals::Process(ArrivalProcess::ClosedLoop {
+            clients: config.batch,
+            think_ns: 0,
+        }),
+        BatchPolicy::Fixed {
+            batch: config.batch,
+        },
+        config.queries_per_engine,
+        config.sla_ns,
+        false,
+        0,
+    ));
     let mut freshness = FreshnessLedger::default();
     let mut recorded = Vec::new();
-    let mut queries: Vec<Arc<Query>> = Vec::with_capacity(config.batch);
-    let started = Instant::now();
-    let mut remaining = config.queries_per_engine;
-    while remaining > 0 {
-        let n = remaining.min(config.batch);
-        queries.clear();
-        for _ in 0..n {
-            queries.push(workload.draw());
-        }
+    while let Some(n) = run.next_batch(workload) {
         // Resolve: keep the held snapshot while it is within the
         // staleness bound; otherwise take the head. The whole batch
         // scores against one consistent version either way.
         if store.version().saturating_sub(held.version()) > config.staleness_bound {
             held = store.latest();
         }
-        let t0 = Instant::now();
-        let scored = engine.score(held.model(), queries.iter())?;
-        let service_ns = t0.elapsed().as_nanos() as u64;
-        report.samples += scored.num_samples() as u64;
+        let scored = run.fire(&mut engine, held.model(), n)?;
         if config.record_batches {
             recorded.push(ServedBatchRecord {
                 engine: index,
                 version: held.version(),
                 steps: held.steps(),
-                queries: queries.clone(),
+                queries: run
+                    .lane
+                    .fired()
+                    .iter()
+                    .map(|q| Arc::clone(&q.query))
+                    .collect(),
                 scores: scored.fused_logits().as_slice().to_vec(),
             });
         }
-        report.batches += 1;
-        report.queries += n as u64;
-        report.service.record(service_ns);
-        // Engine-paced: a query's latency is its batch's service time.
-        for _ in 0..n {
-            report.latency.record(service_ns);
-            // Exclusive deadline: meet iff latency < sla_ns.
-            if service_ns >= config.sla_ns {
-                report.sla_violations += 1;
-            }
-        }
-        report.max_queue_depth = report.max_queue_depth.max(n);
         freshness.record(
             held.version(),
             store.version().saturating_sub(held.version()),
             held.age_ns(),
         );
-        remaining -= n;
     }
-    report.span_ns = (started.elapsed().as_nanos() as u64).max(1);
-    report.cache_hit_rate = engine.cache_hit_rate();
     Ok(EngineOutcome {
-        report,
+        report: run.into_report(engine.cache_hit_rate()),
         freshness,
         recorded,
     })

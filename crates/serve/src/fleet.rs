@@ -11,7 +11,7 @@
 //!   optional staggered [`PublishCadence`] standing in for a live
 //!   trainer), a [`QueryModel`], an [`AdmissionQueue`] under any
 //!   [`BatchPolicy`], an SLA, and per-tenant unmeetable-deadline
-//!   shedding — the exact machinery of the single-tenant loop;
+//!   shedding — one serving lane, the same state machine `serve` runs;
 //! * arrivals come from [`RateCurve`]s (diurnal days, flash crowds), so
 //!   tenants see genuinely heterogeneous load;
 //! * pool time is shared by [`WfqScheduler`], a *pure* virtual-time
@@ -38,18 +38,19 @@
 //! isolation a CI-gateable property instead of a load-test anecdote.
 //!
 //! [`PublishCadence`]: tcast_snapshot::PublishCadence
+//! [`AdmissionQueue`]: crate::AdmissionQueue
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use crate::engine::ServeEngine;
-use crate::queue::{AdmissionQueue, BatchPolicy, Decision, QueuedQuery};
+use crate::lane::{Arrivals, Lane};
+use crate::queue::{BatchPolicy, Decision};
 use crate::request::{QueryModel, RateCurve};
-use crate::stats::{FreshnessLedger, LatencyHistogram, ServeReport};
+use crate::stats::{FreshnessLedger, ServeReport};
 use tcast_dlrm::{Dlrm, Execution};
 use tcast_embedding::EmbeddingError;
 use tcast_snapshot::{ModelSnapshot, PublishCadence, SnapshotStore};
-use tcast_tensor::SplitMix64;
 
 /// Fixed-point scale for virtual time (`cost * SCALE / weight` stays
 /// exact for any nanosecond cost and weight that fit in u64).
@@ -301,32 +302,22 @@ impl FleetReport {
     }
 }
 
-/// Per-tenant runtime state inside the fleet loop.
+/// Per-tenant runtime state inside the fleet loop: the tenant's lane
+/// plus what the driver keeps beside it (engine, snapshot, cadence,
+/// shift, freshness).
 struct TenantRun<'a> {
     spec: &'a TenantSpec,
     store: &'a SnapshotStore,
     workload: &'a mut QueryModel,
-    queue: AdmissionQueue,
+    lane: Lane,
     engine: ServeEngine,
     held: Arc<ModelSnapshot>,
-    rng: SplitMix64,
-    /// Next arrival on the simulated clock (`u64::MAX` once all issued).
-    next_arrival_ns: u64,
-    issued: usize,
-    completed: usize,
-    latency: LatencyHistogram,
-    service: LatencyHistogram,
-    violations: u64,
-    samples: u64,
-    batches: u64,
     freshness: FreshnessLedger,
     publishes: u64,
     next_publish_ns: u64,
     last_publish_ns: u64,
     shift_pending: Option<PopularityShift>,
     measured_ns: u64,
-    batch_buf: Vec<QueuedQuery>,
-    shed_buf: Vec<QueuedQuery>,
 }
 
 impl<'a> TenantRun<'a> {
@@ -338,47 +329,33 @@ impl<'a> TenantRun<'a> {
             config.cache_capacity,
             config.execution.clone(),
         );
-        let mut rng = SplitMix64::new(spec.seed);
-        let next_arrival_ns = if spec.queries > 0 {
-            spec.arrivals.next_arrival_after(0, &mut rng)
-        } else {
-            u64::MAX
-        };
         Self {
-            queue: AdmissionQueue::new(spec.policy.clone()),
+            lane: Lane::new(
+                Arrivals::Curve(spec.arrivals),
+                spec.policy.clone(),
+                spec.queries,
+                spec.sla_ns,
+                spec.shed_unmeetable,
+                spec.seed,
+            ),
             engine,
             held,
-            rng,
-            next_arrival_ns,
-            issued: 0,
-            completed: 0,
-            latency: LatencyHistogram::new(),
-            service: LatencyHistogram::new(),
-            violations: 0,
-            samples: 0,
-            batches: 0,
             freshness: FreshnessLedger::default(),
             publishes: 0,
             next_publish_ns: spec.publish.map_or(u64::MAX, |c| c.next_fire_after(0)),
             last_publish_ns: 0,
             shift_pending: spec.popularity_shift,
             measured_ns: 0,
-            batch_buf: Vec::new(),
-            shed_buf: Vec::new(),
             store: &tenant.store,
             workload: &mut tenant.workload,
             spec,
         }
     }
 
-    fn done(&self) -> bool {
-        self.completed >= self.spec.queries
-    }
-
     /// Applies due cadence republishes (at their scheduled times, so
     /// model-age accounting is exact even when the clock jumps a whole
-    /// batch at once).
-    fn apply_publishes(&mut self, clock_ns: u64) {
+    /// batch at once) and a due popularity shift.
+    fn apply_events(&mut self, clock_ns: u64) {
         while self.next_publish_ns <= clock_ns {
             self.store.republish_head();
             self.publishes += 1;
@@ -386,44 +363,16 @@ impl<'a> TenantRun<'a> {
             let cadence = self.spec.publish.expect("cadence exists");
             self.next_publish_ns = cadence.next_fire_after(self.next_publish_ns);
         }
-    }
-
-    fn apply_shift(&mut self, clock_ns: u64) {
-        if let Some(shift) = self.shift_pending {
-            if shift.at_ns <= clock_ns {
-                self.workload.shift_popularity(shift.rotation);
-                self.shift_pending = None;
-            }
+        if let Some(shift) = self.shift_pending.take_if(|s| s.at_ns <= clock_ns) {
+            self.workload.shift_popularity(shift.rotation);
         }
-    }
-
-    /// Sheds provably unmeetable queries; shed queries complete without
-    /// scoring (the single-tenant convention).
-    fn shed(&mut self, clock_ns: u64) {
-        self.queue
-            .shed_expired_into(clock_ns, self.spec.sla_ns, &mut self.shed_buf);
-        self.completed += self.shed_buf.len();
     }
 
     fn into_report(self, span_ns: u64, pool_ns: u64, total_pool_ns: u64) -> TenantReport {
         TenantReport {
             name: self.spec.name.clone(),
             weight: self.spec.weight,
-            serve: ServeReport {
-                queries: self.completed as u64,
-                batches: self.batches,
-                samples: self.samples,
-                latency: self.latency,
-                service: self.service,
-                span_ns,
-                sla_ns: self.spec.sla_ns,
-                sla_violations: self.violations,
-                max_queue_depth: self.queue.max_depth(),
-                cache_hit_rate: self.engine.cache_hit_rate(),
-                shed: self.queue.shed_count(),
-                restores: 0,
-                restore_ns: 0,
-            },
+            serve: self.lane.into_report(span_ns, self.engine.cache_hit_rate()),
             freshness: self.freshness,
             pool_ns,
             pool_share: if total_pool_ns == 0 {
@@ -475,103 +424,64 @@ pub fn run_fleet(
         .map(|t| TenantRun::new(t, config))
         .collect();
     let mut clock: u64 = 0;
-    let mut fire: Vec<(usize, usize)> = Vec::new();
+    let mut fire: Vec<Option<usize>> = vec![None; runs.len()];
 
-    while !runs.iter().all(TenantRun::done) {
+    while !runs.iter().all(|run| run.lane.done()) {
         // 1. Deliver everything due at or before `clock`.
         for i in 0..runs.len() {
-            runs[i].apply_publishes(clock);
-            runs[i].apply_shift(clock);
-            while runs[i].next_arrival_ns <= clock && runs[i].issued < runs[i].spec.queries {
-                let was_empty = runs[i].queue.is_empty();
-                let at = runs[i].next_arrival_ns;
-                let query = runs[i].workload.draw();
-                runs[i].queue.push(query, at);
-                runs[i].issued += 1;
-                runs[i].next_arrival_ns = if runs[i].issued < runs[i].spec.queries {
-                    let run = &mut runs[i];
-                    run.spec.arrivals.next_arrival_after(at, &mut run.rng)
-                } else {
-                    u64::MAX
-                };
-                if was_empty {
-                    // Idle-to-backlogged: catch up to the backlogged
-                    // minimum so idle time never banks WFQ credit.
-                    let floor = (0..runs.len())
-                        .filter(|&j| j != i && !runs[j].queue.is_empty())
-                        .map(|j| sched.vtime(j))
-                        .min();
-                    if let Some(floor) = floor {
-                        sched.raise_to(i, floor);
-                    }
+            let run = &mut runs[i];
+            run.apply_events(clock);
+            if run.lane.admit(clock, run.workload) {
+                // Idle-to-backlogged: catch up to the backlogged minimum
+                // so idle time never banks WFQ credit.
+                let floor = (0..runs.len())
+                    .filter(|&j| j != i && runs[j].lane.backlogged())
+                    .map(|j| sched.vtime(j))
+                    .min();
+                if let Some(floor) = floor {
+                    sched.raise_to(i, floor);
                 }
-            }
-            if runs[i].spec.shed_unmeetable {
-                runs[i].shed(clock);
             }
         }
 
         // 2. Collect decisions; track the earliest future event.
-        fire.clear();
         let mut next_event = u64::MAX;
         for (i, run) in runs.iter().enumerate() {
-            let more = run.issued < run.spec.queries;
-            match run.queue.decide(clock, more) {
-                Decision::Fire(n) => fire.push((i, n)),
-                Decision::WaitUntil(t) => next_event = next_event.min(t),
-                Decision::Wait => {}
-            }
-            if more {
-                next_event = next_event.min(run.next_arrival_ns);
+            fire[i] = match run.lane.decide(clock) {
+                Decision::Fire(n) => Some(n),
+                Decision::WaitUntil(t) => {
+                    next_event = next_event.min(t);
+                    None
+                }
+                Decision::Wait => None,
+            };
+            if let Some(at) = run.lane.next_arrival_ns() {
+                next_event = next_event.min(at);
             }
         }
-        if fire.is_empty() {
+
+        // 3. Serve one batch: the least-virtual-time fireable tenant.
+        let Some(i) = sched.pick((0..runs.len()).filter(|&i| fire[i].is_some())) else {
             if next_event == u64::MAX {
                 break; // nothing in flight and nothing due: all done
             }
             clock = next_event.max(clock + 1);
             continue;
-        }
-
-        // 3. Serve one batch: the least-virtual-time fireable tenant.
-        let i = sched
-            .pick(fire.iter().map(|&(i, _)| i))
-            .expect("fire set non-empty");
-        let n = fire
-            .iter()
-            .find(|&&(j, _)| j == i)
-            .expect("picked tenant is fireable")
-            .1;
+        };
+        let n = fire[i].expect("picked tenant is fireable");
         let run = &mut runs[i];
-        run.queue.take_into(n, &mut run.batch_buf);
         if run.store.version() != run.held.version() {
             run.held = run.store.latest();
         }
-        let held = Arc::clone(&run.held);
-        let t0 = Instant::now();
-        let scored = run.engine.score_queued(held.model(), &run.batch_buf)?;
-        let samples = scored.num_samples() as u64;
-        run.measured_ns += t0.elapsed().as_nanos() as u64;
-        let service_ns = config.cost.service_ns(samples);
+        let (scored, wall_ns) = run.lane.fire(&mut run.engine, run.held.model(), n, clock)?;
+        let service_ns = config.cost.service_ns(scored.num_samples() as u64);
+        run.measured_ns += wall_ns;
         clock += service_ns;
         sched.charge(i, service_ns);
-        run.batches += 1;
-        run.samples += samples;
-        run.service.record(service_ns);
-        let oldest = run.batch_buf.first().expect("batch non-empty").arrival_ns;
-        run.queue.observe_batch(clock - oldest);
-        for item in &run.batch_buf {
-            let latency = clock - item.arrival_ns;
-            run.latency.record(latency);
-            // Exclusive deadline, same boundary as shed and batcher.
-            if latency >= run.spec.sla_ns {
-                run.violations += 1;
-            }
-        }
-        run.completed += n;
+        run.lane.complete(clock, service_ns);
         run.freshness.record(
-            held.version(),
-            run.store.version().saturating_sub(held.version()),
+            run.held.version(),
+            run.store.version().saturating_sub(run.held.version()),
             clock.saturating_sub(run.last_publish_ns),
         );
     }

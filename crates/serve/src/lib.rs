@@ -25,9 +25,9 @@
 //!   casted forward;
 //! * [`stats`] — latency histograms (p50/p95/p99), QPS, queue depth and
 //!   SLA-violation accounting;
-//! * [`online`] — the serving loop, including the online-training mode
-//!   that interleaves casted [`Trainer`] update steps with serving,
-//!   tracking model staleness;
+//! * [`online`] — `serve`, and the online-training mode that
+//!   interleaves casted [`Trainer`] update steps with serving, tracking
+//!   model staleness;
 //! * [`concurrent`] — *true* concurrent train-and-serve: the trainer
 //!   publishes epoch-versioned snapshots (`tcast-snapshot`) every K
 //!   steps while N engines score consistent snapshots on separate pool
@@ -39,6 +39,30 @@
 //!   weighted-fair scheduler, driven by scenario arrival curves
 //!   (diurnal, flash crowd) and mid-run popularity shifts — the
 //!   cross-tenant isolation layer, with per-tenant and merged rollups.
+//!
+//! # One serving core
+//!
+//! Every entry point is a thin driver over *lanes*. A lane is one
+//! admission queue's state machine: it admits due arrivals (open-loop
+//! Poisson, closed-loop clients, or a [`RateCurve`]), sheds unmeetable
+//! queries, asks the [`BatchPolicy`] whether to fire, scores the fired
+//! batch, and records each query's latency and SLA outcome into its
+//! [`ServeReport`]. A lane never moves time: its driver owns the clock
+//! and says how long each batch took. There are two clocks, and
+//! `ServeReport::latency` (arrival to batch completion) and `span_ns`
+//! are read on the driver's clock:
+//!
+//! | entry point | lanes | batch service time | `span_ns` |
+//! |---|---|---|---|
+//! | [`serve`] | one | measured: wall time of the score call | first fire to last completion |
+//! | [`serve_online`] | one; update steps and restores run between batches and add their wall time to the clock | measured | first fire to last completion |
+//! | [`serve_concurrent`] | one per engine: `batch` clients, no think time, `Fixed { batch }`, so a query's latency is its batch's service time | measured | the engine's summed service time; merged reports take the max |
+//! | [`run_fleet`] | one per tenant, picked by [`WfqScheduler`] | modeled: [`PoolCostModel`] | simulated time 0 to the last completion of any tenant |
+//!
+//! Arrivals always follow the seeded schedule, so a workload arrives
+//! identically on any host; only the service times differ between the
+//! clocks. The fleet's modeled clock makes a fleet run a pure function
+//! of its specs.
 //!
 //! # The serving invariant
 //!
@@ -96,6 +120,7 @@
 pub mod concurrent;
 pub mod engine;
 pub mod fleet;
+mod lane;
 pub mod online;
 pub mod queue;
 pub mod request;

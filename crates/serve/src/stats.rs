@@ -159,15 +159,6 @@ impl LatencyHistogram {
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
-
-    /// Recorded values above `threshold_ns` — SLA-violation counting via
-    /// buckets would round; this needs exactness, so the caller counts
-    /// violations at record time. Provided here for bucket-level
-    /// estimates in reports.
-    pub fn estimated_above(&self, threshold_ns: u64) -> u64 {
-        let cut = Self::bucket_of(threshold_ns);
-        self.buckets[cut + 1..].iter().sum()
-    }
 }
 
 /// Aggregate result of one serving run.
@@ -179,11 +170,12 @@ pub struct ServeReport {
     pub batches: u64,
     /// Samples (candidate items) scored.
     pub samples: u64,
-    /// End-to-end per-query latency (arrival to batch completion).
+    /// End-to-end per-query latency: arrival to batch completion on the
+    /// entry point's clock (the crate docs' clock table).
     pub latency: LatencyHistogram,
-    /// Per-batch engine service time.
+    /// Per-batch service time on the same clock.
     pub service: LatencyHistogram,
-    /// Simulated clock span of the run.
+    /// Span of the run on the same clock; `qps` divides by it.
     pub span_ns: u64,
     /// The SLA the run was accounted against.
     pub sla_ns: u64,
@@ -207,7 +199,7 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Served queries per second of simulated time.
+    /// Completed queries per second of `span_ns`.
     pub fn qps(&self) -> f64 {
         if self.span_ns == 0 {
             return 0.0;

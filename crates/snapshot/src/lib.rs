@@ -19,7 +19,10 @@
 //!   ([`SnapshotStore::latest`] — a mutex-guarded `Arc` clone, never a
 //!   torn read: published snapshots are immutable behind `Arc`, and the
 //!   writer only recycles buffers whose reference count proves no reader
-//!   holds them);
+//!   holds them). The slab copy runs under that same mutex, so a
+//!   `latest` call that lands during a publish waits for the whole copy:
+//!   readers never see a torn model, but a resolution can stall for up
+//!   to one publish;
 //! * versions are **strictly monotonic** — every publication (including
 //!   a rollback re-publication) gets a fresh version, so any served
 //!   batch is explainable by exactly one published version;
@@ -177,9 +180,13 @@ impl SnapshotStore {
     }
 
     /// The latest published snapshot — a consistent, immutable model any
-    /// number of engines can score concurrently. Never blocks on the
-    /// slab copy: publication happens in writer-owned buffers and only
-    /// the head swap is under the lock.
+    /// number of engines can score concurrently. Takes the store mutex,
+    /// which [`SnapshotStore::publish`], [`SnapshotStore::rollback_to`]
+    /// and [`SnapshotStore::republish_head`] hold for their whole slab
+    /// copy: a call that lands mid-publish blocks until the copy
+    /// finishes, so a resolution can cost up to one publish.
+    /// [`SnapshotStore::version`] is the lock-free probe for deciding
+    /// whether to call this at all.
     pub fn latest(&self) -> Arc<ModelSnapshot> {
         Arc::clone(&self.inner.lock().expect("snapshot store poisoned").current)
     }
