@@ -6,7 +6,10 @@
 //! family) and GB/s (gather/scatter family) for **every tier the host
 //! supports**, on the bench suite's shapes: the MLP layer sizes, the
 //! embedding dims {16, 32, 64}, and ragged non-multiple-of-8 shapes that
-//! exercise the vector tails.
+//! exercise the vector tails. A training-layer section times the forward,
+//! weight-gradient and input-gradient GEMMs of every dense layer the
+//! perfbench training workloads run (batch 4096: 13→64, 64→64, 74→64,
+//! 64→32, 32→1) and prints each layer's per-tier total.
 //!
 //! Rows land in `BENCH_kernel.json` (override with `--json PATH` or
 //! `TCAST_BENCH_JSON`); every row carries a `dispatch` field naming the
@@ -17,7 +20,9 @@
 //! ```
 //!
 //! `FAST=1` shrinks shapes and iteration counts for smoke runs. The
-//! "KERNEL <name> simd/scalar ratio" lines are CI's grep anchors.
+//! "KERNEL <name> simd/scalar ratio" lines (gemm, gemm_at, gemm_bt,
+//! gather_reduce, scatter_adagrad) are CI's grep anchors; only the gemm
+//! and gather_reduce ratios are gated.
 //!
 //! Full-size runs on multi-core hosts gate the dispatch layer's reason to
 //! exist: AVX2 GEMM must reach at least 2x scalar and AVX2 gather-reduce
@@ -142,6 +147,45 @@ fn ratio_line(name: &str, rows: &[(KernelDispatch, f64)]) -> Option<f64> {
     Some(ratio)
 }
 
+/// Per-tier ns of `c = a * b` (`a`: `m x k`, `b`: `k x n`).
+fn time_gemm(iters: usize, m: usize, k: usize, n: usize) -> Vec<(KernelDispatch, f64)> {
+    let a = random_matrix(m, k, 1);
+    let b = random_matrix(k, n, 2);
+    let mut c = Matrix::zeros(m, n);
+    tier_ns(&mut |d| {
+        time_ns(iters, || {
+            c.zero_into(m, n);
+            a.matmul_into_with(&b, &mut c, d).unwrap();
+        })
+    })
+}
+
+/// Per-tier ns of `c = a^T * b` (`a`: `r x m`, `b`: `r x n`).
+fn time_gemm_at(iters: usize, r: usize, m: usize, n: usize) -> Vec<(KernelDispatch, f64)> {
+    let a = random_matrix(r, m, 3);
+    let b = random_matrix(r, n, 4);
+    let mut c = Matrix::zeros(m, n);
+    tier_ns(&mut |d| {
+        time_ns(iters, || {
+            c.zero_into(m, n);
+            a.matmul_at_into_with(&b, &mut c, d).unwrap();
+        })
+    })
+}
+
+/// Per-tier ns of `c = a * b^T` (`a`: `m x k`, `b`: `n x k`).
+fn time_gemm_bt(iters: usize, m: usize, k: usize, n: usize) -> Vec<(KernelDispatch, f64)> {
+    let a = random_matrix(m, k, 5);
+    let b = random_matrix(n, k, 6);
+    let mut c = Matrix::zeros(m, n);
+    tier_ns(&mut |d| {
+        time_ns(iters, || {
+            c.zero_into(m, n);
+            a.matmul_bt_into_with(&b, &mut c, d).unwrap();
+        })
+    })
+}
+
 fn main() {
     let args = parse_args();
     banner(
@@ -174,16 +218,8 @@ fn main() {
     println!("\nGEMM (c = a*b), {} iters:", args.iters);
     let mut gemm_ratio = None;
     for &(m, k, n) in &gemm_shapes {
-        let a = random_matrix(m, k, 1);
-        let b = random_matrix(k, n, 2);
-        let mut c = Matrix::zeros(m, n);
+        let rows = time_gemm(args.iters, m, k, n);
         let shape = format!("{m}x{k}x{n}");
-        let rows = tier_ns(&mut |d| {
-            time_ns(args.iters, || {
-                c.zero_into(m, n);
-                a.matmul_into_with(&b, &mut c, d).unwrap();
-            })
-        });
         for &(d, ns) in &rows {
             let gflops = 2.0 * (m * k * n) as f64 / ns;
             emit.row("gemm", d, &shape, n, ns, gflops, "GFLOP/s");
@@ -199,37 +235,60 @@ fn main() {
     let at_shapes: Vec<(usize, usize, usize)> = vec![(batch, 64, 64), (251, 67, 121)];
     println!("\nGEMM variants (a^T*b and a*b^T), {} iters:", args.iters);
     for &(r, m, n) in &at_shapes {
-        // a: r x m, b: r x n -> a^T b: m x n.
-        let a = random_matrix(r, m, 3);
-        let b = random_matrix(r, n, 4);
-        let mut c = Matrix::zeros(m, n);
+        let rows = time_gemm_at(args.iters, r, m, n);
         let shape = format!("{r}x{m}^T*{r}x{n}");
-        let rows = tier_ns(&mut |d| {
-            time_ns(args.iters, || {
-                c.zero_into(m, n);
-                a.matmul_at_into_with(&b, &mut c, d).unwrap();
-            })
-        });
         for &(d, ns) in &rows {
             let gflops = 2.0 * (r * m * n) as f64 / ns;
             emit.row("gemm_at", d, &shape, n, ns, gflops, "GFLOP/s");
         }
+        if (r, m, n) == (batch, 64, 64) {
+            ratio_line("gemm_at", &rows);
+        }
     }
     for &(m, n, k) in &at_shapes {
-        // a: m x k, b: n x k -> a b^T: m x n.
-        let a = random_matrix(m, k, 5);
-        let b = random_matrix(n, k, 6);
-        let mut c = Matrix::zeros(m, n);
+        let rows = time_gemm_bt(args.iters, m, k, n);
         let shape = format!("{m}x{k}*{n}x{k}^T");
-        let rows = tier_ns(&mut |d| {
-            time_ns(args.iters, || {
-                c.zero_into(m, n);
-                a.matmul_bt_into_with(&b, &mut c, d).unwrap();
-            })
-        });
         for &(d, ns) in &rows {
             let gflops = 2.0 * (m * k * n) as f64 / ns;
             emit.row("gemm_bt", d, &shape, n, ns, gflops, "GFLOP/s");
+        }
+        if (m, n, k) == (batch, 64, 64) {
+            ratio_line("gemm_bt", &rows);
+        }
+    }
+
+    // The three GEMMs of every dense layer the perfbench training
+    // workloads run, at their batch: forward `x W` (gemm), weight
+    // gradient `x^T dy` (gemm_at) and input gradient `dy W^T` (gemm_bt).
+    let train_batch = if fast { 256 } else { 4096 };
+    let layers: [(usize, usize); 5] = [(13, 64), (64, 64), (74, 64), (64, 32), (32, 1)];
+    println!(
+        "\ntraining layers (batch {train_batch}), {} iters:",
+        args.iters
+    );
+    for &(inp, out) in &layers {
+        let shape = format!("{train_batch}x{inp}->{out}");
+        let flops = 2.0 * (train_batch * inp * out) as f64;
+        let kernels = [
+            ("gemm", time_gemm(args.iters, train_batch, inp, out)),
+            ("gemm_at", time_gemm_at(args.iters, train_batch, inp, out)),
+            ("gemm_bt", time_gemm_bt(args.iters, train_batch, out, inp)),
+        ];
+        for (name, rows) in &kernels {
+            for &(d, ns) in rows {
+                emit.row(name, d, &shape, out, ns, flops / ns, "GFLOP/s");
+            }
+        }
+        for d in KernelDispatch::available() {
+            let total: f64 = kernels
+                .iter()
+                .filter_map(|(_, rows)| lookup_ns(rows, d))
+                .sum();
+            println!(
+                "  layer {shape:<14} {:<6} gemm+gemm_at+gemm_bt {:>10.1} us",
+                d.name(),
+                total / 1e3
+            );
         }
     }
 

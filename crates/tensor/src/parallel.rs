@@ -61,9 +61,13 @@ pub(crate) fn matmul_pooled_unchecked(
     let lhs_data = lhs.as_slice();
     let rhs_data = rhs.as_slice();
     let buf = out.as_mut_slice();
+    // Every band runs the serial kernel, `simd::gemm`, on its own rows.
+    // Each output element accumulates in ascending `k` whatever rows
+    // surround it, so pooled results are bit-identical to the serial
+    // matmul on every tier (resolved once here, shared by all bands).
     let kernel = crate::simd::dispatch();
     if threads <= 1 {
-        band_kernel(kernel, lhs_data, rhs_data, buf, k, n);
+        crate::simd::gemm(kernel, lhs_data, rhs_data, buf, m, k, n);
         return;
     }
     let rows_per = m.div_ceil(threads);
@@ -78,7 +82,7 @@ pub(crate) fn matmul_pooled_unchecked(
             let (band, tail) = rest.split_at_mut((hi - lo) * n);
             rest = tail;
             let lhs_band = &lhs_data[lo * k..hi * k];
-            scope.spawn(move || band_kernel(kernel, lhs_band, rhs_data, band, k, n));
+            scope.spawn(move || crate::simd::gemm(kernel, lhs_band, rhs_data, band, hi - lo, k, n));
         }
     });
 }
@@ -90,20 +94,6 @@ pub(crate) fn matmul_pooled_unchecked(
 /// tier, since the tier is resolved once and shared by all bands.
 pub(crate) fn bt_band_kernel(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
     crate::simd::dot_band(crate::simd::dispatch(), a_band, b_data, band, k, n);
-}
-
-/// The shared per-band kernel: stream rhs rows, accumulate into the band.
-/// Accumulation over `k` is in ascending order for every output element,
-/// matching the serial blocked GEMM bit-for-bit on every kernel tier.
-fn band_kernel(
-    kernel: crate::simd::KernelDispatch,
-    lhs_band: &[f32],
-    rhs_data: &[f32],
-    band: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    crate::simd::gemm_band(kernel, lhs_band, rhs_data, band, k, n);
 }
 
 #[cfg(test)]

@@ -7,18 +7,28 @@
 //! per-query, resume == uninterrupted). The kernels here are therefore
 //! designed so that vectorization *cannot* change results:
 //!
-//! * Every kernel vectorizes **across the `j`/`dim` lane axis** and keeps
-//!   the reduction axis (`k`, lookup order) in exactly the scalar order,
-//!   so each output element sees the same operations in the same order.
+//! * The scalar kernels are the specification. Every SIMD kernel gives
+//!   each output element exactly the scalar operations in the scalar
+//!   order; vectors only run several *independent* outputs side by side.
+//! * The vector kernels (`add_assign`, `axpy`, the optimizer rows)
+//!   vectorize across the `j`/`dim` lane axis.
+//! * The GEMM family runs register tiles. `gemm` and `gemm_at` hold a
+//!   `4 x 16` block of `C` (or `8 x 8`, or one wider row block) in ymm
+//!   accumulators across a whole reduction panel; each accumulator starts
+//!   from `C` and adds `a * b` in ascending `k`, the scalar row-axpy order.
+//!   `matmul_bt`'s `dot_band` computes a `4 x 2` block of dots at once,
+//!   each keeping the scalar dot's eight striped partials, its fold and
+//!   its in-order tail.
 //! * The non-FMA tier ([`KernelDispatch::Avx2`]) uses only individually
 //!   correctly-rounded operations (`vmulps`/`vaddps`/`vsubps`/`vdivps`/
 //!   `vsqrtps` match their scalar counterparts per IEEE-754), so it is
 //!   **bit-identical** to [`KernelDispatch::Scalar`] — including on NaN,
 //!   `-0.0` and denormal inputs (Rust performs no FP contraction and x86
 //!   runs with FTZ/DAZ off by default).
-//! * The [`KernelDispatch::Fma`] tier contracts `a*b + c` with
-//!   `vfmaddps` (one rounding instead of two). It is *tolerance-gated*,
-//!   never auto-selected, and opt-in via `TCAST_KERNEL=fma`.
+//! * The [`KernelDispatch::Fma`] tier runs the same tile code with
+//!   `vfmaddps` as its mul-add (one rounding instead of two). It is
+//!   *tolerance-gated*, never auto-selected, and opt-in via
+//!   `TCAST_KERNEL=fma`.
 //!
 //! The active tier is resolved once per process from the `TCAST_KERNEL`
 //! environment variable (`scalar` | `avx2` | `fma` | `auto`, default
@@ -37,11 +47,12 @@
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 
-/// Block edge (in elements) for the cache-blocked GEMM kernels.
+/// Block edge (in elements) of the scalar oracle's cache-blocked GEMM.
 ///
 /// 64x64 f32 tiles are 16 KiB per operand tile, comfortably inside L1/L2
-/// on any machine this runs on. All tiers share the same blocking so the
-/// per-element accumulation order is tier-independent.
+/// on any machine this runs on. The x86 tiers tile differently (register
+/// tiles over deeper reduction panels); blocking never changes a result
+/// because every tier accumulates each output element in ascending `k`.
 pub const GEMM_BLOCK: usize = 64;
 
 /// Environment variable selecting the kernel tier (`scalar` | `avx2` |
@@ -271,9 +282,8 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
     sum
 }
 
-/// The blocked-GEMM driver, shared verbatim by all tiers (only the inner
-/// row-axpy differs): identical blocking means identical per-element
-/// accumulation order, which is the bit-identity argument.
+/// The scalar oracle's cache-blocked GEMM: each output element
+/// accumulates its products in ascending `kk`, block after block.
 ///
 /// Note there is deliberately *no* `aik == 0.0` skip: skipping defeats
 /// vectorization, and because every accumulator starts at `+0.0` and
@@ -281,87 +291,49 @@ fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
 /// addends, adding the `aik * b` products of a zero `aik` is bit-identical
 /// to skipping them for all finite inputs (and for NaN/Inf inputs the
 /// no-skip form is the IEEE-propagating one every tier now shares).
-macro_rules! gemm_driver {
-    ($a:ident, $b:ident, $c:ident, $m:ident, $k:ident, $n:ident, $axpy:ident) => {
-        for i0 in (0..$m).step_by(GEMM_BLOCK) {
-            let i1 = (i0 + GEMM_BLOCK).min($m);
-            for k0 in (0..$k).step_by(GEMM_BLOCK) {
-                let k1 = (k0 + GEMM_BLOCK).min($k);
-                for j0 in (0..$n).step_by(GEMM_BLOCK) {
-                    let j1 = (j0 + GEMM_BLOCK).min($n);
-                    for i in i0..i1 {
-                        let c_row = &mut $c[i * $n..(i + 1) * $n];
-                        for kk in k0..k1 {
-                            let aik = $a[i * $k + kk];
-                            let b_row = &$b[kk * $n..(kk + 1) * $n];
-                            $axpy(&mut c_row[j0..j1], &b_row[j0..j1], aik);
-                        }
+fn gemm_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    for i0 in (0..m).step_by(GEMM_BLOCK) {
+        let i1 = (i0 + GEMM_BLOCK).min(m);
+        for k0 in (0..k).step_by(GEMM_BLOCK) {
+            let k1 = (k0 + GEMM_BLOCK).min(k);
+            for j0 in (0..n).step_by(GEMM_BLOCK) {
+                let j1 = (j0 + GEMM_BLOCK).min(n);
+                for i in i0..i1 {
+                    let c_row = &mut c[i * n..(i + 1) * n];
+                    for kk in k0..k1 {
+                        let aik = a[i * k + kk];
+                        let b_row = &b[kk * n..(kk + 1) * n];
+                        axpy_scalar(&mut c_row[j0..j1], &b_row[j0..j1], aik);
                     }
                 }
             }
         }
-    };
+    }
 }
 
-/// The `A^T * B` driver: `r` outermost so both operands stream
-/// sequentially; one row-axpy per `(r, i)`.
-macro_rules! gemm_at_driver {
-    ($a:ident, $b:ident, $c:ident, $k:ident, $m:ident, $n:ident, $axpy:ident) => {
-        for r in 0..$k {
-            let a_row = &$a[r * $m..(r + 1) * $m];
-            let b_row = &$b[r * $n..(r + 1) * $n];
-            for (i, &av) in a_row.iter().enumerate() {
-                $axpy(&mut $c[i * $n..(i + 1) * $n], b_row, av);
-            }
-        }
-    };
-}
-
-/// The unblocked band driver used by the pooled row-partitioned matmul:
-/// per output element the `k` order is ascending, exactly like
-/// [`gemm_driver`], so serial-blocked and pooled-banded stay
-/// bit-identical.
-macro_rules! gemm_band_driver {
-    ($lhs:ident, $rhs:ident, $band:ident, $k:ident, $n:ident, $axpy:ident) => {
-        let rows = $lhs.len() / $k.max(1);
-        for i in 0..rows {
-            let a_row = &$lhs[i * $k..(i + 1) * $k];
-            let c_row = &mut $band[i * $n..(i + 1) * $n];
-            for (kk, &av) in a_row.iter().enumerate() {
-                $axpy(c_row, &$rhs[kk * $n..(kk + 1) * $n], av);
-            }
-        }
-    };
-}
-
-/// The `A * B^T` band driver: one dot per output element.
-macro_rules! dot_band_driver {
-    ($a_band:ident, $b_data:ident, $band:ident, $k:ident, $n:ident, $dot:ident) => {
-        let rows = $a_band.len() / $k.max(1);
-        for i in 0..rows {
-            let a_row = &$a_band[i * $k..(i + 1) * $k];
-            let o = &mut $band[i * $n..(i + 1) * $n];
-            for (j, oj) in o.iter_mut().enumerate() {
-                *oj = $dot(a_row, &$b_data[j * $k..(j + 1) * $k]);
-            }
-        }
-    };
-}
-
-fn gemm_scalar(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_driver!(a, b, c, m, k, n, axpy_scalar);
-}
-
+/// The scalar `A^T * B`: `r` outermost so both operands stream
+/// sequentially; one row-axpy per `(r, i)`, so each output element
+/// accumulates in ascending `r`.
 fn gemm_at_scalar(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-    gemm_at_driver!(a, b, c, k, m, n, axpy_scalar);
+    for r in 0..k {
+        let a_row = &a[r * m..(r + 1) * m];
+        let b_row = &b[r * n..(r + 1) * n];
+        for (i, &av) in a_row.iter().enumerate() {
+            axpy_scalar(&mut c[i * n..(i + 1) * n], b_row, av);
+        }
+    }
 }
 
-fn gemm_band_scalar(lhs: &[f32], rhs: &[f32], band: &mut [f32], k: usize, n: usize) {
-    gemm_band_driver!(lhs, rhs, band, k, n, axpy_scalar);
-}
-
+/// The scalar `A * B^T` band: one [`dot_scalar`] per output element.
 fn dot_band_scalar(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-    dot_band_driver!(a_band, b_data, band, k, n, dot_scalar);
+    let rows = a_band.len() / k.max(1);
+    for i in 0..rows {
+        let a_row = &a_band[i * k..(i + 1) * k];
+        let o = &mut band[i * n..(i + 1) * n];
+        for (j, oj) in o.iter_mut().enumerate() {
+            *oj = dot_scalar(a_row, &b_data[j * k..(j + 1) * k]);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +342,6 @@ fn dot_band_scalar(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::GEMM_BLOCK;
     use std::arch::x86_64::*;
 
     #[target_feature(enable = "avx2")]
@@ -498,44 +469,544 @@ mod x86 {
         sum
     }
 
+    // -----------------------------------------------------------------
+    // Register-tiled GEMM family.
+    //
+    // One tile body serves both tiers: `FMA` selects the mul-add op, so
+    // `Avx2` and `Fma` share every loop and differ only in `madd`.
+    //
+    // Every `unsafe fn` below has the same contract: the CPU supports
+    // AVX2 (and FMA when `FMA` is set), and every element its pointer
+    // arguments address for the given shape lies inside the caller's
+    // slices. The safe `#[target_feature]` entry points at the end of
+    // this section assert the slice lengths that establish it.
+    // -----------------------------------------------------------------
+
+    /// Rows per full register tile: `MR x 16` outputs live in `2 * MR`
+    /// ymm accumulators for a whole reduction panel.
+    const MR: usize = 4;
+
+    /// Reduction steps per panel. A tile loads its `C` block, accumulates
+    /// one panel of `kk` in registers and stores it back, so the operand
+    /// slices a panel touches stay cache-resident while `gemm_at` streams
+    /// a 4096-row batch: 128 rows of a 64-wide `B` are 32 KiB, which with
+    /// the `A` slice of one row block fits a 48 KiB L1 (measured faster
+    /// than 256 on the 64→64 weight gradient). A store and reload is
+    /// exact, so panelling never changes a result.
+    const KC: usize = 128;
+
+    /// `acc + a * b`: a separate `vmulps` and `vaddps` (each correctly
+    /// rounded, so bit-identical to the scalar `acc += a * b`) or, for
+    /// the `Fma` tier, one contracted `vfmaddps`.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn madd<const FMA: bool>(acc: __m256, a: __m256, b: __m256) -> __m256 {
+        if FMA {
+            _mm256_fmadd_ps(a, b, acc)
+        } else {
+            _mm256_add_ps(acc, _mm256_mul_ps(a, b))
+        }
+    }
+
+    /// The scalar twin of [`madd`] for reduction tails.
+    #[inline(always)]
+    fn madd_scalar<const FMA: bool>(acc: f32, a: f32, b: f32) -> f32 {
+        if FMA {
+            a.mul_add(b, acc)
+        } else {
+            acc + a * b
+        }
+    }
+
+    /// Lane mask selecting the first `lanes` (1..=8) of a vector.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn lane_mask(lanes: usize) -> __m256i {
+        _mm256_cmpgt_epi32(
+            _mm256_set1_epi32(lanes as i32),
+            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+        )
+    }
+
+    /// A strided view of one GEMM: `C(i, j) += sum_kk A(i, kk) * B(kk, j)`
+    /// with `A(i, kk) = a[i*a_row + kk*a_step]` (broadcast per row),
+    /// `B(kk, j) = b[kk*b_step + j]` (contiguous in `j`, loaded as
+    /// vectors) and `C(i, j) = c[i*c_row + j*c_lane]`. Row-major `A * B`,
+    /// `A^T * B` and `(A^T * B)^T` are all this shape with different
+    /// strides.
+    #[derive(Clone, Copy)]
+    struct Strided {
+        a: *const f32,
+        a_row: usize,
+        a_step: usize,
+        b: *const f32,
+        b_step: usize,
+        c: *mut f32,
+        c_row: usize,
+        c_lane: usize,
+    }
+
+    /// Loads the first `lanes` outputs (selected by `mask`) starting at
+    /// `p`, `stride` apart; the other lanes read as zero.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn load_c(p: *const f32, stride: usize, lanes: usize, mask: __m256i) -> __m256 {
+        if stride == 1 {
+            return if lanes == 8 {
+                _mm256_loadu_ps(p)
+            } else {
+                _mm256_maskload_ps(p, mask)
+            };
+        }
+        let mut t = [0.0f32; 8];
+        for (l, v) in t.iter_mut().enumerate().take(lanes) {
+            *v = *p.add(l * stride);
+        }
+        _mm256_loadu_ps(t.as_ptr())
+    }
+
+    /// Stores the first `lanes` lanes of `v` (selected by `mask`) at `p`,
+    /// `stride` apart.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn store_c(p: *mut f32, stride: usize, lanes: usize, mask: __m256i, v: __m256) {
+        if stride == 1 {
+            if lanes == 8 {
+                _mm256_storeu_ps(p, v);
+            } else {
+                _mm256_maskstore_ps(p, mask, v);
+            }
+            return;
+        }
+        let mut t = [0.0f32; 8];
+        _mm256_storeu_ps(t.as_mut_ptr(), v);
+        for (l, &x) in t.iter().enumerate().take(lanes) {
+            *p.add(l * stride) = x;
+        }
+    }
+
+    /// One `R x 8*NV` tile at output `(i, j)` over `kc` reduction steps.
+    /// The last vector column holds `last` (1..=8) live lanes; with
+    /// `MASK` its `B` loads are masked so no lane past `n` is read.
+    ///
+    /// Each accumulator starts from `C` and adds `A(i, kk) * B(kk, j)` in
+    /// ascending `kk` — the scalar row-axpy order for every element.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn tile<const R: usize, const NV: usize, const MASK: bool, const FMA: bool>(
+        g: Strided,
+        i: usize,
+        j: usize,
+        kc: usize,
+        last: usize,
+    ) {
+        let lanes = |v: usize| if v + 1 == NV { last } else { 8 };
+        let mask = lane_mask(last);
+        let a = g.a.add(i * g.a_row);
+        let b = g.b.add(j);
+        let c = g.c.add(i * g.c_row + j * g.c_lane);
+        let mut acc = [[_mm256_setzero_ps(); NV]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (v, x) in row.iter_mut().enumerate() {
+                *x = load_c(
+                    c.add(r * g.c_row + 8 * v * g.c_lane),
+                    g.c_lane,
+                    lanes(v),
+                    mask,
+                );
+            }
+        }
+        for kk in 0..kc {
+            let bp = b.add(kk * g.b_step);
+            let mut bv = [_mm256_setzero_ps(); NV];
+            for (v, x) in bv.iter_mut().enumerate() {
+                *x = if MASK && v + 1 == NV {
+                    _mm256_maskload_ps(bp.add(8 * v), mask)
+                } else {
+                    _mm256_loadu_ps(bp.add(8 * v))
+                };
+            }
+            let ap = a.add(kk * g.a_step);
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_set1_ps(*ap.add(r * g.a_row));
+                for (x, &bx) in row.iter_mut().zip(bv.iter()) {
+                    *x = madd::<FMA>(*x, av, bx);
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (v, &x) in row.iter().enumerate() {
+                store_c(
+                    c.add(r * g.c_row + 8 * v * g.c_lane),
+                    g.c_lane,
+                    lanes(v),
+                    mask,
+                    x,
+                );
+            }
+        }
+    }
+
+    /// Every tile of the `R` rows starting at `i`: `8 * NV`-wide tiles,
+    /// then 16-wide ones, then one masked tile for the ragged right edge.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn tile_row<const R: usize, const NV: usize, const FMA: bool>(
+        g: Strided,
+        i: usize,
+        n: usize,
+        kc: usize,
+    ) {
+        let mut j = 0;
+        while j + 8 * NV <= n {
+            tile::<R, NV, false, FMA>(g, i, j, kc, 8);
+            j += 8 * NV;
+        }
+        while j + 16 <= n {
+            tile::<R, 2, false, FMA>(g, i, j, kc, 8);
+            j += 16;
+        }
+        match n - j {
+            0 => {}
+            rem @ 1..=8 => tile::<R, 1, true, FMA>(g, i, j, kc, rem),
+            rem => tile::<R, 2, true, FMA>(g, i, j, kc, rem - 8),
+        }
+    }
+
+    /// `C += A * B` over `m x n` outputs and `k` reduction steps, one
+    /// `KC`-deep panel at a time.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn tiled<const FMA: bool>(g: Strided, m: usize, n: usize, k: usize) {
+        for k0 in (0..k).step_by(KC) {
+            let kc = KC.min(k - k0);
+            let p = Strided {
+                a: g.a.add(k0 * g.a_step),
+                b: g.b.add(k0 * g.b_step),
+                ..g
+            };
+            let mut i = 0;
+            // A single vector column of outputs takes eight rows per tile
+            // so it still has eight independent accumulators.
+            while n <= 8 && i + 2 * MR <= m {
+                tile_row::<{ 2 * MR }, 1, FMA>(p, i, n, kc);
+                i += 2 * MR;
+            }
+            while i + MR <= m {
+                tile_row::<MR, 2, FMA>(p, i, n, kc);
+                i += MR;
+            }
+            // The leftover rows form one wider tile of about eight
+            // accumulators, so a short batch stays throughput-bound
+            // instead of add-latency-bound and streams `B` only once.
+            match m - i {
+                1 => tile_row::<1, 8, FMA>(p, i, n, kc),
+                2 => tile_row::<2, 4, FMA>(p, i, n, kc),
+                3 => tile_row::<3, 3, FMA>(p, i, n, kc),
+                _ => {}
+            }
+        }
+    }
+
+    /// Row-major `C += A * B` (`a`: `m x k`, `b`: `k x n`).
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn gemm_tiled<const FMA: bool>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        m: usize,
+        k: usize,
+        n: usize,
+    ) {
+        let g = Strided {
+            a: a.as_ptr(),
+            a_row: k,
+            a_step: 1,
+            b: b.as_ptr(),
+            b_step: n,
+            c: c.as_mut_ptr(),
+            c_row: n,
+            c_lane: 1,
+        };
+        tiled::<FMA>(g, m, n, k);
+    }
+
+    /// `C += A^T * B` (`a`: `k x m`, `b`: `k x n`). Outputs are vectorized
+    /// along `j`, or — when `C` is narrower than a vector and taller than
+    /// one — along `i` by tiling `C^T += B^T * A`, so the 32→1 weight
+    /// gradient runs as a few vector columns instead of `k * m` one-lane
+    /// axpys.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn gemm_at_tiled<const FMA: bool>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        k: usize,
+        m: usize,
+        n: usize,
+    ) {
+        let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+        if n < 8 && m >= 8 {
+            let g = Strided {
+                a: b,
+                a_row: 1,
+                a_step: n,
+                b: a,
+                b_step: m,
+                c,
+                c_row: 1,
+                c_lane: n,
+            };
+            tiled::<FMA>(g, n, m, k);
+        } else {
+            let g = Strided {
+                a,
+                a_row: 1,
+                a_step: m,
+                b,
+                b_step: n,
+                c,
+                c_row: n,
+                c_lane: 1,
+            };
+            tiled::<FMA>(g, m, n, k);
+        }
+    }
+
+    /// Folds eight vectors at once, each in [`hreduce`]'s exact order:
+    /// lane halves, then `(s0+s2) + (s1+s3)`. Returns the sums in input
+    /// order.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn hreduce8(v: [__m256; 8]) -> [f32; 8] {
+        // [q_p | q_{p+1}] with q = lo + hi (hreduce's first add).
+        let pair = |x: __m256, y: __m256| {
+            _mm256_add_ps(
+                _mm256_permute2f128_ps::<0x20>(x, y),
+                _mm256_permute2f128_ps::<0x31>(x, y),
+            )
+        };
+        let w01 = pair(v[0], v[1]);
+        let w23 = pair(v[2], v[3]);
+        let w45 = pair(v[4], v[5]);
+        let w67 = pair(v[6], v[7]);
+        // [q0+q2, q1+q3] per q (hreduce's movehl add).
+        let half = |x: __m256, y: __m256| {
+            _mm256_add_ps(
+                _mm256_shuffle_ps::<0x44>(x, y),
+                _mm256_shuffle_ps::<0xEE>(x, y),
+            )
+        };
+        let x = half(w01, w23);
+        let y = half(w45, w67);
+        // h0 + h1 (hreduce's final add_ss): lanes [r0 r2 r4 r6 | r1 r3 r5 r7].
+        let z = _mm256_add_ps(
+            _mm256_shuffle_ps::<0x88>(x, y),
+            _mm256_shuffle_ps::<0xDD>(x, y),
+        );
+        let mut t = [0.0f32; 8];
+        _mm256_storeu_ps(t.as_mut_ptr(), z);
+        [t[0], t[4], t[1], t[5], t[2], t[6], t[3], t[7]]
+    }
+
+    /// An `R x C` block of dots (`R * C <= 8`) for `A * B^T`: each dot
+    /// keeps [`dot`]'s 8-lane striped partials, the [`hreduce`] fold and
+    /// the in-order scalar tail; the block only shares operand loads and
+    /// folds its partials together.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn dot_tile<const R: usize, const C: usize, const FMA: bool>(
+        a: *const f32,
+        b: *const f32,
+        out: *mut f32,
+        k: usize,
+        n: usize,
+    ) {
+        const { assert!(R * C <= 8, "hreduce8 folds at most eight dots") };
+        let chunks = k / 8;
+        let mut acc = [[_mm256_setzero_ps(); C]; R];
+        for ch in 0..chunks {
+            let mut bv = [_mm256_setzero_ps(); C];
+            for (c, x) in bv.iter_mut().enumerate() {
+                *x = _mm256_loadu_ps(b.add(c * k + ch * 8));
+            }
+            for (r, row) in acc.iter_mut().enumerate() {
+                let av = _mm256_loadu_ps(a.add(r * k + ch * 8));
+                for (x, &bx) in row.iter_mut().zip(bv.iter()) {
+                    *x = madd::<FMA>(*x, av, bx);
+                }
+            }
+        }
+        let mut parts = [_mm256_setzero_ps(); 8];
+        for (r, row) in acc.iter().enumerate() {
+            parts[r * C..(r + 1) * C].copy_from_slice(row);
+        }
+        let sums = hreduce8(parts);
+        for r in 0..R {
+            for c in 0..C {
+                let (ar, bc) = (a.add(r * k), b.add(c * k));
+                let mut s = sums[r * C + c];
+                for t in chunks * 8..k {
+                    s = madd_scalar::<FMA>(s, *ar.add(t), *bc.add(t));
+                }
+                *out.add(r * n + c) = s;
+            }
+        }
+    }
+
+    /// The dot blocks of the `R` rows starting at `a`: pairs of `B` rows,
+    /// then the odd one out.
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn dot_row<const R: usize, const FMA: bool>(
+        a: *const f32,
+        b: *const f32,
+        out: *mut f32,
+        k: usize,
+        n: usize,
+    ) {
+        let mut j = 0;
+        while j + 2 <= n {
+            dot_tile::<R, 2, FMA>(a, b.add(j * k), out.add(j), k, n);
+            j += 2;
+        }
+        if j < n {
+            dot_tile::<R, 1, FMA>(a, b.add(j * k), out.add(j), k, n);
+        }
+    }
+
+    /// `band = A_band * B^T`, one dot per output element, in `MR x 2`
+    /// dot blocks. Below eight reduction steps every dot is its scalar
+    /// tail, `((0 + a0*b0) + a1*b1) + ...`, which is a GEMM from a zeroed
+    /// band: `B^T` is packed 16 columns at a time on the stack and the
+    /// band is tiled like [`gemm_tiled`].
+    ///
+    /// # Safety
+    ///
+    /// The section contract above.
+    #[inline(always)]
+    unsafe fn dot_band_tiled<const FMA: bool>(
+        a_band: &[f32],
+        b_data: &[f32],
+        band: &mut [f32],
+        k: usize,
+        n: usize,
+    ) {
+        let rows = a_band.len() / k.max(1);
+        let (a, b, out) = (a_band.as_ptr(), b_data.as_ptr(), band.as_mut_ptr());
+        if k < 8 {
+            band[..rows * n].fill(0.0);
+            let mut bt = [0.0f32; 8 * 16];
+            for j0 in (0..n).step_by(16) {
+                let w = 16.min(n - j0);
+                for t in 0..k {
+                    for jj in 0..w {
+                        bt[t * 16 + jj] = *b.add((j0 + jj) * k + t);
+                    }
+                }
+                let g = Strided {
+                    a,
+                    a_row: k,
+                    a_step: 1,
+                    b: bt.as_ptr(),
+                    b_step: 16,
+                    c: out.add(j0),
+                    c_row: n,
+                    c_lane: 1,
+                };
+                tiled::<FMA>(g, rows, w, k);
+            }
+            return;
+        }
+        let mut i = 0;
+        while i + MR <= rows {
+            dot_row::<MR, FMA>(a.add(i * k), b, out.add(i * n), k, n);
+            i += MR;
+        }
+        while i < rows {
+            dot_row::<1, FMA>(a.add(i * k), b, out.add(i * n), k, n);
+            i += 1;
+        }
+    }
+
     #[target_feature(enable = "avx2")]
     pub fn gemm(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        gemm_driver!(a, b, c, m, k, n, axpy);
+        assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+        // SAFETY: the assert bounds every tile access.
+        unsafe { gemm_tiled::<false>(a, b, c, m, k, n) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn gemm_fma(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        gemm_driver!(a, b, c, m, k, n, axpy_fma);
+        assert!(a.len() >= m * k && b.len() >= k * n && c.len() >= m * n);
+        // SAFETY: the assert bounds every tile access.
+        unsafe { gemm_tiled::<true>(a, b, c, m, k, n) }
     }
 
     #[target_feature(enable = "avx2")]
     pub fn gemm_at(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-        gemm_at_driver!(a, b, c, k, m, n, axpy);
+        assert!(a.len() >= k * m && b.len() >= k * n && c.len() >= m * n);
+        // SAFETY: the assert bounds every tile access.
+        unsafe { gemm_at_tiled::<false>(a, b, c, k, m, n) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn gemm_at_fma(a: &[f32], b: &[f32], c: &mut [f32], k: usize, m: usize, n: usize) {
-        gemm_at_driver!(a, b, c, k, m, n, axpy_fma);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub fn gemm_band(lhs: &[f32], rhs: &[f32], band: &mut [f32], k: usize, n: usize) {
-        gemm_band_driver!(lhs, rhs, band, k, n, axpy);
-    }
-
-    #[target_feature(enable = "avx2", enable = "fma")]
-    pub fn gemm_band_fma(lhs: &[f32], rhs: &[f32], band: &mut [f32], k: usize, n: usize) {
-        gemm_band_driver!(lhs, rhs, band, k, n, axpy_fma);
+        assert!(a.len() >= k * m && b.len() >= k * n && c.len() >= m * n);
+        // SAFETY: the assert bounds every tile access.
+        unsafe { gemm_at_tiled::<true>(a, b, c, k, m, n) }
     }
 
     #[target_feature(enable = "avx2")]
     pub fn dot_band(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-        dot_band_driver!(a_band, b_data, band, k, n, dot);
+        assert!(b_data.len() >= n * k && band.len() >= a_band.len() / k.max(1) * n);
+        // SAFETY: the assert bounds every tile access.
+        unsafe { dot_band_tiled::<false>(a_band, b_data, band, k, n) }
     }
 
     #[target_feature(enable = "avx2", enable = "fma")]
     pub fn dot_band_fma(a_band: &[f32], b_data: &[f32], band: &mut [f32], k: usize, n: usize) {
-        dot_band_driver!(a_band, b_data, band, k, n, dot_fma);
+        assert!(b_data.len() >= n * k && band.len() >= a_band.len() / k.max(1) * n);
+        // SAFETY: the assert bounds every tile access.
+        unsafe { dot_band_tiled::<true>(a_band, b_data, band, k, n) }
     }
 }
 
@@ -605,7 +1076,9 @@ pub fn dot(d: KernelDispatch, a: &[f32], b: &[f32]) -> f32 {
     dot_scalar(a, b)
 }
 
-/// Cache-blocked `C += A * B` for row-major operands (`C` pre-zeroed).
+/// `C += A * B` for row-major operands (`C` pre-zeroed): register tiles
+/// on the x86 tiers, the cache-blocked oracle on scalar. Serial matmul
+/// and every band of the pooled matmul run this one kernel.
 pub fn gemm(d: KernelDispatch, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
@@ -658,36 +1131,8 @@ pub fn gemm_at(
     gemm_at_scalar(a, b, c, k, m, n);
 }
 
-/// The row-band `C += A_band * B` kernel behind the pooled matmul:
-/// bit-identical to [`gemm`] per output element (same ascending-`k`
-/// accumulation), on every tier.
-pub fn gemm_band(
-    d: KernelDispatch,
-    lhs: &[f32],
-    rhs: &[f32],
-    band: &mut [f32],
-    k: usize,
-    n: usize,
-) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        if d == KernelDispatch::Fma && fma_ok() {
-            // SAFETY: AVX2+FMA support verified on the line above.
-            unsafe { x86::gemm_band_fma(lhs, rhs, band, k, n) };
-            return;
-        }
-        if d != KernelDispatch::Scalar && avx2_ok() {
-            // SAFETY: AVX2 support verified on the line above.
-            unsafe { x86::gemm_band(lhs, rhs, band, k, n) };
-            return;
-        }
-    }
-    let _ = d;
-    gemm_band_scalar(lhs, rhs, band, k, n);
-}
-
-/// The `A_band * B^T` band kernel behind `matmul_bt`: one [`dot`] per
-/// output element.
+/// The `A_band * B^T` band kernel behind `matmul_bt`: every output
+/// element is bit-identical to one [`dot`] of its rows.
 pub fn dot_band(
     d: KernelDispatch,
     a_band: &[f32],

@@ -14,7 +14,7 @@ use tensor_casting::embedding::{
     scatter_apply, EmbeddingTable, IndexArray,
 };
 use tensor_casting::nmp::{NmpPool, PoolConfig};
-use tensor_casting::tensor::{Matrix, SplitMix64};
+use tensor_casting::tensor::{Exec, Linear, Matrix, Pool, SplitMix64};
 
 fn random_workload(seed: u64, batch: usize, pooling: usize, rows: u32) -> (IndexArray, Matrix) {
     let mut rng = SplitMix64::new(seed);
@@ -95,6 +95,63 @@ fn nmp_pool_matches_host_for_the_whole_training_step() {
 
     let back = pool.read_table(handle).unwrap();
     assert!(back.max_abs_diff(&host_table).unwrap() < 1e-5);
+}
+
+fn signed_matrix(rows: usize, cols: usize, rng: &mut SplitMix64) -> Matrix {
+    let mut m = Matrix::zeros(rows, cols);
+    for v in m.as_mut_slice() {
+        *v = if rng.next_below(16) == 0 {
+            -0.0
+        } else {
+            rng.next_range(-2.0, 2.0)
+        };
+    }
+    m
+}
+
+/// A pooled `Linear` layer splits its GEMMs into row bands, one per task,
+/// so band edges fall inside register tiles; forward output, `dx`, `dW`
+/// and `db` must still match the serial layer bit for bit at every
+/// thread count, on whatever kernel tier the process runs.
+#[test]
+fn pooled_linear_matches_serial_across_tile_edges() {
+    let pool = Pool::new(3);
+    let mut rng = SplitMix64::new(0xba4d);
+    for &(batch, inp, out) in &[
+        (8usize, 13usize, 64usize),
+        (37, 64, 1),
+        (13, 7, 17),
+        (29, 33, 8),
+    ] {
+        let weight = signed_matrix(inp, out, &mut rng);
+        let bias: Vec<f32> = (0..out).map(|_| rng.next_range(-1.0, 1.0)).collect();
+        let x = signed_matrix(batch, inp, &mut rng);
+        let dy = signed_matrix(batch, out, &mut rng);
+        let run = |exec: Exec<'_>| {
+            let mut layer = Linear::from_parameters(weight.clone(), bias.clone()).unwrap();
+            let (mut y, mut dx) = (Matrix::default(), Matrix::default());
+            layer.forward_into(&x, &mut y, exec).unwrap();
+            layer.backward_into(&dy, &mut dx, exec).unwrap();
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            (
+                bits(y.as_slice()),
+                bits(dx.as_slice()),
+                bits(layer.grad_weight().unwrap().as_slice()),
+                bits(layer.grad_bias().unwrap()),
+            )
+        };
+        let serial = run(Exec::Serial);
+        for threads in [1, 2, 3] {
+            let pooled = run(Exec::Pooled {
+                pool: &pool,
+                threads,
+            });
+            assert!(
+                serial == pooled,
+                "batch {batch} {inp}->{out}: pooled at {threads} threads diverged from serial"
+            );
+        }
+    }
 }
 
 fn grads_widened(grads: &Matrix, dim: usize) -> Matrix {

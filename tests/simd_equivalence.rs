@@ -324,3 +324,99 @@ fn forced_dispatch_is_trajectory_bit_identical() {
         }
     }
 }
+
+/// Runs `matmul`, `matmul_at` and `matmul_bt` on `tier` and checks each
+/// against the scalar oracle: bit for bit on the non-FMA tiers, within
+/// contraction tolerance on FMA.
+fn check_gemm_family(
+    tier: KernelDispatch,
+    a: &Matrix,
+    b: &Matrix,
+    at_lhs: &Matrix,
+    bt_rhs: &Matrix,
+) {
+    let (m, k, n) = (a.rows(), a.cols(), b.cols());
+    let run = |op: &str, d: KernelDispatch, out: &mut Matrix| match op {
+        "matmul" => a.matmul_into_with(b, out, d).unwrap(),
+        "matmul_at" => at_lhs.matmul_at_into_with(b, out, d).unwrap(),
+        _ => a.matmul_bt_into_with(bt_rhs, out, d).unwrap(),
+    };
+    let (mut want, mut got) = (Matrix::default(), Matrix::default());
+    for name in ["matmul", "matmul_at", "matmul_bt"] {
+        run(name, KernelDispatch::Scalar, &mut want);
+        run(name, tier, &mut got);
+        let bad = if tier == KernelDispatch::Fma {
+            first_fma_mismatch(want.as_slice(), got.as_slice())
+        } else {
+            first_bit_mismatch(want.as_slice(), got.as_slice())
+        };
+        assert!(
+            bad.is_none(),
+            "{name} {} vs scalar mismatch at {bad:?} (m={m} k={k} n={n})",
+            tier.name()
+        );
+    }
+}
+
+/// `special_matrix` with every NaN replaced by a finite value. Past a few
+/// dozen reduction steps almost every output of a NaN-bearing product is
+/// NaN, so long reductions also run NaN-free to keep `-0.0`, denormals and
+/// rounding visible in the compared bits.
+fn finite_special_matrix(rows: usize, cols: usize, rng: &mut SplitMix64) -> Matrix {
+    let mut m = special_matrix(rows, cols, rng);
+    for v in m.as_mut_slice() {
+        if v.is_nan() {
+            *v = 0.75;
+        }
+    }
+    m
+}
+
+/// A deterministic sweep across the register-tile edges the random
+/// proptest can miss: row counts around the 4- and 8-row tiles, column
+/// counts around the 8-lane vector and 16-wide tile, and reduction
+/// lengths around the 8-lane dot stride. A 4096-step `matmul_at` crosses
+/// every reduction panel.
+#[test]
+fn gemm_tile_boundaries_match_scalar() {
+    let mut rng = SplitMix64::new(0x711e);
+    for &m in &[1usize, 3, 4, 5, 6, 7, 12, 13] {
+        for &n in &[1usize, 7, 8, 15, 16, 17, 32, 33, 64] {
+            for &k in &[1usize, 7, 8, 9, 13, 64, 65] {
+                for fill in [special_matrix, finite_special_matrix] {
+                    let a = fill(m, k, &mut rng);
+                    let b = fill(k, n, &mut rng);
+                    let at_lhs = fill(k, m, &mut rng);
+                    let bt_rhs = fill(n, k, &mut rng);
+                    for tier in non_scalar_tiers() {
+                        check_gemm_family(tier, &a, &b, &at_lhs, &bt_rhs);
+                    }
+                }
+            }
+        }
+    }
+    for &(m, n) in &[(13usize, 64usize), (32, 1), (64, 33), (5, 3)] {
+        for fill in [special_matrix, finite_special_matrix] {
+            let at_lhs = fill(4096, m, &mut rng);
+            let b = fill(4096, n, &mut rng);
+            let mut want = Matrix::default();
+            at_lhs
+                .matmul_at_into_with(&b, &mut want, KernelDispatch::Scalar)
+                .unwrap();
+            for tier in non_scalar_tiers() {
+                let mut got = Matrix::default();
+                at_lhs.matmul_at_into_with(&b, &mut got, tier).unwrap();
+                let bad = if tier == KernelDispatch::Fma {
+                    first_fma_mismatch(want.as_slice(), got.as_slice())
+                } else {
+                    first_bit_mismatch(want.as_slice(), got.as_slice())
+                };
+                assert!(
+                    bad.is_none(),
+                    "matmul_at {} k=4096 m={m} n={n} mismatch at {bad:?}",
+                    tier.name()
+                );
+            }
+        }
+    }
+}
